@@ -454,6 +454,23 @@ ControllerBase::kickPartition(Partition *part)
     schedulerFor(part).kick();
 }
 
+bool
+ControllerBase::wakeIdlePartitions()
+{
+    for (Partition *p : allPartitions(/*cpuFirst=*/true)) {
+        if (p->busy)
+            continue;
+        for (const Instance *inst : p->instances) {
+            if (inst->state == InstanceState::Active &&
+                inst->loadSize() > 0) {
+                kickPartition(p);
+                break;
+            }
+        }
+    }
+    return !sim_.idle();
+}
+
 Instance *
 ControllerBase::makeInstance(ModelId model, Partition *primary,
                              HardwareSpec execSpec, Bytes kvAlloc,

@@ -130,6 +130,15 @@ class ControllerBase
     void setNetFactor(double factor);
     double netFactor() const { return netFactor_; }
 
+    /**
+     * Kick every idle partition that still holds queued work on an
+     * active instance; true when that left events to run. The final
+     * drain's wake-up: a scheduler starved of KV (its grow parked for
+     * good) sits idle until something kicks it, and once arrivals stop
+     * nothing does.
+     */
+    bool wakeIdlePartitions();
+
     /** Nodes currently fenced by failNode (resilience probes). */
     int failedNodeCount() const { return failedNodes_; }
 

@@ -16,6 +16,7 @@
 #define SLINFER_CORE_QUANTIFIER_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -42,19 +43,7 @@ class Quantifier
     /** True once the pair has been profiled. */
     bool profiled(const HardwareSpec &hw, const ModelSpec &m) const;
 
-    /** Interpolated prefill (TTFT-producing) iteration time. */
-    Seconds prefillEstimate(const HardwareSpec &hw, const ModelSpec &m,
-                            Tokens inputLen) const;
-
-    /** Interpolated decode iteration time. */
-    Seconds decodeEstimate(const HardwareSpec &hw, const ModelSpec &m,
-                           int batchSize, Tokens avgLen) const;
-
-    /** Number of profiled samples held for the pair (test aid). */
-    std::size_t sampleCount(const HardwareSpec &hw,
-                            const ModelSpec &m) const;
-
-  private:
+    /** One profiled (hardware, model) pair's sample grid. */
     struct ProfileTable
     {
         std::vector<Tokens> lenGrid;
@@ -63,6 +52,42 @@ class Quantifier
         std::vector<std::vector<Seconds>> decode; ///< [batch][len]
     };
 
+    /** Interpolated prefill (TTFT-producing) iteration time. */
+    Seconds prefillEstimate(const HardwareSpec &hw, const ModelSpec &m,
+                            Tokens inputLen) const;
+
+    /** Interpolated decode iteration time. */
+    Seconds decodeEstimate(const HardwareSpec &hw, const ModelSpec &m,
+                           int batchSize, Tokens avgLen) const;
+
+    /**
+     * The same estimates against a table already resolved with
+     * tableFor(). Hot loops that query one pair many times (a shadow
+     * fast-forward) resolve once and skip the per-call name lookup;
+     * the arithmetic is identical to the (hw, model) overloads.
+     */
+    static Seconds prefillEstimate(const ProfileTable &t, Tokens inputLen);
+    static Seconds decodeEstimate(const ProfileTable &t, int batchSize,
+                                  Tokens avgLen);
+
+    /**
+     * The pair's table; panics when the pair was never profiled. The
+     * address is stable for the quantifier's lifetime (tables are
+     * never erased; a re-profile rewrites the table in place and
+     * bumps epoch()).
+     */
+    const ProfileTable &tableFor(const HardwareSpec &hw,
+                                 const ModelSpec &m) const;
+
+    /** Bumped by every profile() call: a cache of estimates taken at
+     *  one epoch is valid for as long as the epoch is unchanged. */
+    std::uint64_t epoch() const { return epoch_; }
+
+    /** Number of profiled samples held for the pair (test aid). */
+    std::size_t sampleCount(const HardwareSpec &hw,
+                            const ModelSpec &m) const;
+
+  private:
     /**
      * Flat (hw name, model name) → table map (common/flat_hash.hh),
      * probed with string_views so estimate queries never allocate a
@@ -74,12 +99,11 @@ class Quantifier
                     std::unique_ptr<ProfileTable>, FlatStringPairHash,
                     FlatStringPairEq>;
 
-    const ProfileTable &tableFor(const HardwareSpec &hw,
-                                 const ModelSpec &m) const;
     const ProfileTable *find(const HardwareSpec &hw,
                              const ModelSpec &m) const;
 
     Tables tables_;
+    std::uint64_t epoch_ = 0;
 
     /**
      * Tiny MRU memo in front of the map: a fleet shares a handful of

@@ -1,6 +1,7 @@
 #include "core/shadow_validator.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace slinfer
@@ -39,8 +40,7 @@ ShadowValidator::buildState(const Partition &part, Seconds now,
             continue;
         }
         SimInst &s = slotAt(n++);
-        s.model = &inst->model;
-        s.hw = &inst->execSpec;
+        s.table = &quant_.tableFor(inst->execSpec, inst->model);
         s.availAt = inst->state == InstanceState::Loading
                         ? inst->createdAt + inst->loadDuration
                         : now;
@@ -57,16 +57,62 @@ ShadowValidator::buildState(const Partition &part, Seconds now,
     return n;
 }
 
+namespace
+{
+
+constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+
+template <typename T>
+std::uint64_t
+bitsOf(T v)
+{
+    static_assert(sizeof(T) <= sizeof(std::uint64_t), "key word");
+    std::uint64_t w = 0;
+    std::memcpy(&w, &v, sizeof(T));
+    return w;
+}
+
+} // namespace
+
+void
+ShadowValidator::rescanPrefills(SimInst &si)
+{
+    si.pfMin = kNever;
+    si.pfIdx = 0;
+    for (std::size_t i = 0; i < si.prefills.size(); ++i) {
+        if (si.prefills[i].deadline < si.pfMin) {
+            si.pfMin = si.prefills[i].deadline;
+            si.pfIdx = i;
+        }
+    }
+}
+
+void
+ShadowValidator::settleDecodes(SimInst &si) const
+{
+    for (SimDecode &dd : si.decodeDeadlines)
+        for (int k = 0; k < si.decodeLag; ++k)
+            dd.deadline += cfg_.tpotSlo;
+    si.decodeLag = 0;
+}
+
 bool
 ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
                           Seconds start, bool collectDoomed) const
 {
     Seconds t = start;
     bool candidate_present = false;
-    for (std::size_t i = 0; i < count; ++i)
-        for (const SimReq &p : v[i].prefills)
+    for (std::size_t i = 0; i < count; ++i) {
+        SimInst &si = v[i];
+        for (const SimReq &p : si.prefills)
             if (p.isCandidate)
                 candidate_present = true;
+        rescanPrefills(si);
+        si.decodeLag = 0;
+        si.decMin = kNever;
+        for (const SimDecode &dd : si.decodeDeadlines)
+            si.decMin = std::min(si.decMin, dd.deadline);
+    }
     bool candidate_prefilled = !candidate_present;
 
     auto is_exempt = [this](int id) {
@@ -79,15 +125,6 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             return false;
         }
         return !is_exempt(id);
-    };
-
-    auto inst_min_deadline = [](const SimInst &si) {
-        Seconds d = std::numeric_limits<Seconds>::infinity();
-        for (const SimReq &p : si.prefills)
-            d = std::min(d, p.deadline);
-        for (const SimDecode &dd : si.decodeDeadlines)
-            d = std::min(d, dd.deadline);
-        return d;
     };
 
     for (int step = 0; step < cfg_.maxSteps; ++step) {
@@ -113,8 +150,8 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
 
         // Select the runnable instance with the most urgent request.
         SimInst *chosen = nullptr;
-        Seconds best = std::numeric_limits<Seconds>::infinity();
-        Seconds min_avail = std::numeric_limits<Seconds>::infinity();
+        Seconds best = kNever;
+        Seconds min_avail = kNever;
         bool any_work = false;
         for (std::size_t i = 0; i < count; ++i) {
             SimInst &si = v[i];
@@ -124,7 +161,7 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             min_avail = std::min(min_avail, si.availAt);
             if (si.availAt > t)
                 continue;
-            Seconds d = inst_min_deadline(si);
+            Seconds d = std::min(si.pfMin, si.decMin);
             if (d < best) {
                 best = d;
                 chosen = &si;
@@ -137,29 +174,19 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             continue;
         }
 
-        // Which item within the chosen instance is most urgent?
-        std::size_t pf_idx = 0;
-        Seconds pf_best = std::numeric_limits<Seconds>::infinity();
-        for (std::size_t i = 0; i < chosen->prefills.size(); ++i) {
-            if (chosen->prefills[i].deadline < pf_best) {
-                pf_best = chosen->prefills[i].deadline;
-                pf_idx = i;
-            }
-        }
-        Seconds dec_best = std::numeric_limits<Seconds>::infinity();
-        for (const SimDecode &dd : chosen->decodeDeadlines)
-            dec_best = std::min(dec_best, dd.deadline);
-
-        if (pf_best <= dec_best) {
-            SimReq req = chosen->prefills[pf_idx];
-            Seconds dur = quant_.prefillEstimate(*chosen->hw,
-                                                 *chosen->model, req.ctx) *
-                          cfg_.overestimate;
+        // The chosen instance's most urgent item: its earliest prefill
+        // unless a decode deadline comes strictly first.
+        if (chosen->pfMin <= chosen->decMin) {
+            SimReq req = chosen->prefills[chosen->pfIdx];
+            Seconds dur =
+                Quantifier::prefillEstimate(*chosen->table, req.ctx) *
+                cfg_.overestimate;
             t += dur;
             if (t > req.deadline && violate(req.id))
                 return false; // cases 1 / 2: prefill lands too late
-            chosen->prefills.erase(chosen->prefills.begin() +
-                                   static_cast<std::ptrdiff_t>(pf_idx));
+            chosen->prefills.erase(
+                chosen->prefills.begin() +
+                static_cast<std::ptrdiff_t>(chosen->pfIdx));
             if (req.isCandidate)
                 candidate_prefilled = true;
             // Joins the decode batch with the cumulative deadline.
@@ -167,19 +194,36 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             chosen->avgLen = (chosen->avgLen * n +
                               static_cast<double>(req.ctx)) /
                              (n + 1.0);
-            chosen->decodeDeadlines.push_back(
-                {std::max(req.deadline, t) + cfg_.tpotSlo, req.id});
+            Seconds joined = std::max(req.deadline, t) + cfg_.tpotSlo;
+            settleDecodes(*chosen);
+            chosen->decodeDeadlines.push_back({joined, req.id});
+            rescanPrefills(*chosen);
+            chosen->decMin = std::min(chosen->decMin, joined);
         } else {
             int batch = static_cast<int>(chosen->decodeDeadlines.size());
             Seconds dur =
-                quant_.decodeEstimate(*chosen->hw, *chosen->model, batch,
-                                      static_cast<Tokens>(chosen->avgLen)) *
+                Quantifier::decodeEstimate(
+                    *chosen->table, batch,
+                    static_cast<Tokens>(chosen->avgLen)) *
                 cfg_.overestimate;
             t += dur;
-            for (SimDecode &dd : chosen->decodeDeadlines) {
-                if (t > dd.deadline && violate(dd.id))
-                    return false; // case 2: existing request delayed
-                dd.deadline += cfg_.tpotSlo;
+            if (t > chosen->decMin) {
+                // Someone is late: visit every deadline in order.
+                settleDecodes(*chosen);
+                Seconds dec_min = kNever;
+                for (SimDecode &dd : chosen->decodeDeadlines) {
+                    if (t > dd.deadline && violate(dd.id))
+                        return false; // case 2: existing request delayed
+                    dd.deadline += cfg_.tpotSlo;
+                    dec_min = std::min(dec_min, dd.deadline);
+                }
+                chosen->decMin = dec_min;
+            } else {
+                // All on time. fl(x + c) is monotone in x, so the
+                // minimum of the advanced deadlines is the advanced
+                // minimum; the entries catch up when next read.
+                ++chosen->decodeLag;
+                chosen->decMin += cfg_.tpotSlo;
             }
             chosen->avgLen += 1.0;
             chosen->decodedSinceCandidate = true;
@@ -189,14 +233,53 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
     return true;
 }
 
-bool
-ShadowValidator::twoPass(std::size_t count, Seconds start,
-                         Seconds now) const
+void
+ShadowValidator::baselinePass(std::size_t count, Seconds start) const
 {
-    ++evals_;
-    // Baseline pass without the candidate: whatever violates anyway is
-    // doomed and must not veto the admission. The baseline scratch
-    // copy-assigns element-wise so inner buffers are recycled.
+    key_.clear();
+    key_.push_back(bitsOf(start));
+    for (std::size_t i = 0; i < count; ++i) {
+        const SimInst &si = state_[i];
+        std::uint64_t queued = 0;
+        for (const SimReq &p : si.prefills)
+            queued += p.isCandidate ? 0 : 1;
+        if (queued == 0 && si.decodeDeadlines.empty())
+            continue;
+        key_.push_back(bitsOf(si.table));
+        key_.push_back(bitsOf(si.availAt));
+        key_.push_back(bitsOf(si.avgLen));
+        key_.push_back(queued << 32 | si.decodeDeadlines.size());
+        for (const SimReq &p : si.prefills) {
+            if (p.isCandidate)
+                continue;
+            key_.push_back(bitsOf(p.deadline));
+            key_.push_back(bitsOf(p.ctx));
+            key_.push_back(bitsOf(p.id));
+        }
+        for (const SimDecode &dd : si.decodeDeadlines) {
+            key_.push_back(bitsOf(dd.deadline));
+            key_.push_back(bitsOf(dd.id));
+        }
+    }
+    std::uint64_t hash = 0;
+    for (std::uint64_t w : key_)
+        hash = (hash ^ w) * 0x100000001b3ULL + (hash >> 29);
+
+    if (memoEpoch_ != quant_.epoch()) {
+        memoEpoch_ = quant_.epoch();
+        for (BaselineMemo &m : memo_)
+            m.key.clear();
+    }
+    for (const BaselineMemo &m : memo_) {
+        if (m.hash == hash && m.key == key_) {
+            doomed_ = m.doomed;
+            ++memoHits_;
+            return;
+        }
+    }
+
+    // Miss: run the pass on a copy without the candidate. The copy
+    // assigns element-wise so inner buffers are recycled.
     if (baseline_.size() < count)
         baseline_.resize(count);
     for (std::size_t i = 0; i < count; ++i)
@@ -210,6 +293,21 @@ ShadowValidator::twoPass(std::size_t count, Seconds start,
     }
     doomed_.clear();
     simulate(baseline_, count, start, /*collectDoomed=*/true);
+    BaselineMemo &m = memo_[memoNext_];
+    memoNext_ = (memoNext_ + 1) % memo_.size();
+    m.hash = hash;
+    m.key = key_;
+    m.doomed = doomed_;
+}
+
+bool
+ShadowValidator::twoPass(std::size_t count, Seconds start,
+                         Seconds now) const
+{
+    ++evals_;
+    // Baseline pass without the candidate: whatever violates anyway is
+    // doomed and must not veto the admission.
+    baselinePass(count, start);
     // A candidate whose own deadline has already passed (an evicted /
     // migrated request being re-placed) cannot be protected either; it
     // must still find a home, so its own lateness does not reject.
@@ -313,8 +411,7 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
 
     std::size_t count = buildState(part, now, {});
     SimInst &cand = slotAt(count);
-    cand.model = &model;
-    cand.hw = &execSpec;
+    cand.table = &quant_.tableFor(execSpec, model);
     cand.availAt = readyAt;
     // Cold-started requests receive a grace window equal to the load
     // time, mirroring the runtime accounting.

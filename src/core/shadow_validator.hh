@@ -16,6 +16,8 @@
 #ifndef SLINFER_CORE_SHADOW_VALIDATOR_HH
 #define SLINFER_CORE_SHADOW_VALIDATOR_HH
 
+#include <array>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -70,6 +72,9 @@ class ShadowValidator
      *  throughput bench reports shadow work per decision). */
     std::uint64_t evaluations() const { return evals_; }
 
+    /** Validations whose baseline pass was answered by the memo. */
+    std::uint64_t baselineMemoHits() const { return memoHits_; }
+
   private:
     struct SimReq
     {
@@ -85,13 +90,33 @@ class ShadowValidator
     };
     struct SimInst
     {
-        const ModelSpec *model = nullptr;
-        const HardwareSpec *hw = nullptr;
+        /** The instance's (hardware, model) profile, resolved once
+         *  per build. */
+        const Quantifier::ProfileTable *table = nullptr;
         Seconds availAt = 0.0;
         std::vector<SimReq> prefills;
         std::vector<SimDecode> decodeDeadlines;
         double avgLen = 1.0;
         bool decodedSinceCandidate = false;
+        /** Deadline minima cached by simulate(): the earliest prefill
+         *  deadline, the first index reaching it, and the earliest
+         *  decode deadline (current, lag included). */
+        Seconds pfMin = 0.0;
+        std::size_t pfIdx = 0;
+        Seconds decMin = 0.0;
+        /** TPOT increments every `decodeDeadlines` entry still owes:
+         *  on-time decode steps advance only `decMin`, and the entries
+         *  catch up (one addition at a time, as if applied each step)
+         *  before anything reads them. */
+        int decodeLag = 0;
+    };
+
+    /** One baseline-pass result keyed by its exact input. */
+    struct BaselineMemo
+    {
+        std::uint64_t hash = 0;
+        std::vector<std::uint64_t> key; ///< empty: unused entry
+        std::vector<int> doomed;
     };
 
     /**
@@ -130,6 +155,25 @@ class ShadowValidator
      *  (start may be later when the partition is mid-iteration). */
     bool twoPass(std::size_t count, Seconds start, Seconds now) const;
 
+    /**
+     * Fill `doomed_` with the baseline pass over `state_[0..count)`,
+     * from the memo when an entry's key equals this input exactly.
+     * The key (built into `key_`) is every bit the baseline reads:
+     * `start`, then for each instance that has work without the
+     * candidate its table pointer, `availAt`, `avgLen`, prefills
+     * (deadline, ctx, id) and decodes (deadline, id). Idle instances
+     * are never touched by simulate() and stay out of the key.
+     */
+    void baselinePass(std::size_t count, Seconds start) const;
+
+    /** Refresh `si`'s cached earliest prefill (first index on ties,
+     *  matching a strict-less scan). */
+    static void rescanPrefills(SimInst &si);
+
+    /** Apply `si.decodeLag` pending TPOT increments to every decode
+     *  deadline. */
+    void settleDecodes(SimInst &si) const;
+
     const Quantifier &quant_;
     ShadowConfig cfg_;
 
@@ -140,6 +184,19 @@ class ShadowValidator
      *  the two passes, membership via binary search. */
     mutable std::vector<int> doomed_;
     mutable std::uint64_t evals_ = 0;
+
+    /**
+     * Ring of recent baseline passes. Retry sweeps re-test the same
+     * partition at one instant against several candidates, and the
+     * baseline does not depend on the candidate. Entries are valid
+     * while the quantifier's epoch is unchanged (profile tables are
+     * the only input the key holds by address).
+     */
+    mutable std::array<BaselineMemo, 8> memo_;
+    mutable std::size_t memoNext_ = 0;
+    mutable std::uint64_t memoEpoch_ = 0;
+    mutable std::uint64_t memoHits_ = 0;
+    mutable std::vector<std::uint64_t> key_;
 };
 
 } // namespace slinfer

@@ -14,8 +14,8 @@ namespace slinfer
 // --------------------------------------------------------------------
 
 Session::Session(const ExperimentConfig &cfg)
-    : cfg_(cfg), ivRng_(Rng(cfg.seed).fork(0xA11CE)),
-      lenRng_(Rng(cfg.seed).fork(0x1E46))
+    : cfg_(cfg), lenRng_(Rng(cfg.seed).fork(0x1E46)),
+      ivRng_(Rng(cfg.seed).fork(0xA11CE))
 {
     // Chaos expands into ordinary timeline entries *before* validation,
     // so generated schedules obey the same well-formedness rules as
@@ -349,6 +349,19 @@ Session::finish()
     // Drain: requests admitted inside the window complete past its
     // end, exactly as the one-shot driver always ran them.
     sim_.run();
+    // A KV-starved partition can sit idle with queued work once the
+    // arrivals that used to kick it have stopped: wake such partitions
+    // and drain again for as long as that settles requests. Runs that
+    // drained clean never enter the loop.
+    std::size_t settled = recorder_.completed() + recorder_.dropped();
+    while (settled < recorder_.total() &&
+           controller_->wakeIdlePartitions()) {
+        sim_.run();
+        std::size_t now_settled = recorder_.completed() + recorder_.dropped();
+        if (now_settled == settled)
+            break;
+        settled = now_settled;
+    }
     finished_ = true;
 
     Report report = Report::build(systemName(cfg_.system), recorder_,

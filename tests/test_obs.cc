@@ -141,12 +141,15 @@ TEST(ObsTrace, ChromeJsonIsWellFormedAndTimeOrdered)
         EXPECT_GE(ts->number, 0.0);
         EXPECT_GE(ts->number, last_ts); // insertion order == time order
         last_ts = ts->number;
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_GE(e.num("dur", -1.0), 0.0);
-        if (ph == "b" || ph == "e" || ph == "n")
+        }
+        if (ph == "b" || ph == "e" || ph == "n") {
             EXPECT_NE(e.find("id"), nullptr);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e.string("s"), "t");
+        }
     }
     // The request lifecycle must produce async spans with sub-steps,
     // the schedulers complete spans, and metadata names the tracks.

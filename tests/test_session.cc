@@ -345,6 +345,19 @@ INSTANTIATE_TEST_SUITE_P(Catalog, TimelineScenario,
                              return name;
                          });
 
+TEST(Session, FinishLeavesNoRequestStranded)
+{
+    // flash-crowd at seed 1 used to end with 59 requests queued on a
+    // GPU instance whose KV grow could never land (the resize needs
+    // the old and new allocation side by side): its scheduler starved,
+    // and once arrivals stopped nothing kicked it again. finish() now
+    // wakes such partitions and drains them.
+    const scenario::Scenario *sc = scenario::byName("flash-crowd");
+    ASSERT_NE(sc, nullptr);
+    Report r = runExperiment(sc->toExperiment(SystemKind::Slinfer, 1));
+    EXPECT_EQ(r.completed + r.dropped, r.totalRequests);
+}
+
 // ------------------------------------------------------------------
 // Up-front validation (ExperimentConfig::validate)
 // ------------------------------------------------------------------

@@ -1,13 +1,18 @@
 /**
  * @file
  * Shadow-validation tests (§VI-C): the three rejection cases, the
- * doomed-request exemption, loading-instance availability, and the
- * aggregate (case 3) decode check.
+ * doomed-request exemption, loading-instance availability, the
+ * aggregate (case 3) decode check, and a seeded differential test of
+ * the validator against a plain reference fast-forward.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <random>
 
 #include "core/shadow_validator.hh"
 
@@ -246,6 +251,471 @@ TEST_F(ShadowFixture, PartitionBusyUntilDelaysEverything)
     // after the candidate's deadline.
     EXPECT_FALSE(validator->canAdmit(*part, &inst, r, 0.0, /*busy=*/3.0));
     EXPECT_TRUE(validator->canAdmit(*part, &inst, r, 0.0, 0.0));
+}
+
+// ------------------------------------------------------------------
+// Differential test against a reference fast-forward.
+// ------------------------------------------------------------------
+
+/**
+ * Reference model of the two-pass validation: every step rescans every
+ * deadline, every estimate goes through the (hardware, model) lookup,
+ * and the baseline pass is re-simulated on every call. The validator
+ * caches per-instance minima, resolves profile tables once and
+ * memoizes the baseline pass; its verdicts must match this model's.
+ */
+class RefShadow
+{
+  public:
+    RefShadow(const Quantifier &quant, const ShadowValidator &agg,
+              ShadowConfig cfg)
+        : quant_(quant), agg_(agg), cfg_(cfg)
+    {
+    }
+
+    bool
+    canAdmit(const Partition &part, const Instance *target,
+             const Request &req, Seconds now, Seconds busy,
+             const std::set<const Instance *> &exclude) const
+    {
+        if (!agg_.aggregateDecodeFits(part, target, 1, req.contextLen(),
+                                      exclude))
+            return false;
+        nextId_ = 0;
+        State v;
+        for (const Instance *inst : part.instances) {
+            if (!live(inst, exclude))
+                continue;
+            v.push_back(build(*inst, now));
+            if (inst == target)
+                v.back().prefills.push_back({req.deadlineForNextToken(),
+                                             req.contextLen(), true, -1});
+        }
+        return twoPass(v, std::max(now, busy), now);
+    }
+
+    bool
+    canAdmitNew(const Partition &part, const ModelSpec &model,
+                const HardwareSpec &spec, const Request &req, Seconds now,
+                Seconds busy, Seconds readyAt) const
+    {
+        if (!agg_.aggregateDecodeFits(part, nullptr, 0, 0))
+            return false;
+        Seconds own = quant_.decodeEstimate(spec, model, 1,
+                                            req.contextLen()) *
+                      cfg_.overestimate;
+        Seconds others = 0.0;
+        for (const Instance *inst : part.instances) {
+            if (inst->state == InstanceState::Reclaimed ||
+                inst->state == InstanceState::Unloading ||
+                inst->loadSize() == 0)
+                continue;
+            others += quant_.decodeEstimate(inst->execSpec, inst->model,
+                                            inst->loadSize(),
+                                            inst->avgContextLen()) *
+                      cfg_.overestimate;
+        }
+        if (own + others > cfg_.tpotSlo)
+            return false;
+        nextId_ = 0;
+        State v;
+        for (const Instance *inst : part.instances)
+            if (live(inst, {}))
+                v.push_back(build(*inst, now));
+        SimInst cand;
+        cand.model = &model;
+        cand.hw = &spec;
+        cand.availAt = readyAt;
+        cand.prefills.push_back(
+            {req.deadlineForNextToken() + std::max(0.0, readyAt - now),
+             req.contextLen(), true, -1});
+        cand.avgLen = static_cast<double>(req.contextLen());
+        v.push_back(cand);
+        return twoPass(v, std::max(now, busy), now);
+    }
+
+  private:
+    struct SimReq
+    {
+        Seconds deadline;
+        Tokens ctx;
+        bool isCandidate;
+        int id;
+    };
+    struct SimDecode
+    {
+        Seconds deadline;
+        int id;
+    };
+    struct SimInst
+    {
+        const ModelSpec *model = nullptr;
+        const HardwareSpec *hw = nullptr;
+        Seconds availAt = 0.0;
+        std::vector<SimReq> prefills;
+        std::vector<SimDecode> decodes;
+        double avgLen = 1.0;
+        bool decoded = false;
+    };
+    using State = std::vector<SimInst>;
+
+    static bool
+    live(const Instance *inst, const std::set<const Instance *> &exclude)
+    {
+        return !exclude.count(inst) &&
+               inst->state != InstanceState::Reclaimed &&
+               inst->state != InstanceState::Unloading &&
+               inst->state != InstanceState::Draining;
+    }
+
+    SimInst
+    build(const Instance &inst, Seconds now) const
+    {
+        SimInst s;
+        s.model = &inst.model;
+        s.hw = &inst.execSpec;
+        s.availAt = inst.state == InstanceState::Loading
+                        ? inst.createdAt + inst.loadDuration
+                        : now;
+        for (const Request *r : inst.prefillQueue)
+            s.prefills.push_back({r->deadlineForNextToken(),
+                                  r->contextLen(), false, nextId_++});
+        for (const Request *r : inst.decodeBatch)
+            s.decodes.push_back({r->deadlineForNextToken(), nextId_++});
+        s.avgLen = static_cast<double>(inst.avgContextLen());
+        return s;
+    }
+
+    bool
+    twoPass(State v, Seconds start, Seconds now) const
+    {
+        State base = v;
+        for (SimInst &si : base)
+            si.prefills.erase(std::remove_if(si.prefills.begin(),
+                                             si.prefills.end(),
+                                             [](const SimReq &p) {
+                                                 return p.isCandidate;
+                                             }),
+                              si.prefills.end());
+        std::vector<int> doomed;
+        simulate(base, start, true, doomed);
+        for (const SimInst &si : v)
+            for (const SimReq &p : si.prefills)
+                if (p.isCandidate && p.deadline < now)
+                    doomed.push_back(p.id);
+        std::sort(doomed.begin(), doomed.end());
+        return simulate(v, start, false, doomed);
+    }
+
+    bool
+    simulate(State &v, Seconds start, bool collect,
+             std::vector<int> &doomed) const
+    {
+        const Seconds inf = std::numeric_limits<Seconds>::infinity();
+        Seconds t = start;
+        bool prefilled = true;
+        for (const SimInst &si : v)
+            for (const SimReq &p : si.prefills)
+                if (p.isCandidate)
+                    prefilled = false;
+        auto violate = [&](int id) {
+            if (collect) {
+                doomed.push_back(id);
+                return false;
+            }
+            return !std::binary_search(doomed.begin(), doomed.end(), id);
+        };
+        for (int step = 0; step < cfg_.maxSteps; ++step) {
+            if (prefilled &&
+                std::all_of(v.begin(), v.end(), [](const SimInst &si) {
+                    return si.prefills.empty() &&
+                           (si.decodes.empty() || si.decoded);
+                }))
+                return true;
+            SimInst *chosen = nullptr;
+            Seconds best = inf, min_avail = inf;
+            bool any_work = false;
+            for (SimInst &si : v) {
+                if (si.prefills.empty() && si.decodes.empty())
+                    continue;
+                any_work = true;
+                min_avail = std::min(min_avail, si.availAt);
+                if (si.availAt > t)
+                    continue;
+                Seconds d = inf;
+                for (const SimReq &p : si.prefills)
+                    d = std::min(d, p.deadline);
+                for (const SimDecode &dd : si.decodes)
+                    d = std::min(d, dd.deadline);
+                if (d < best) {
+                    best = d;
+                    chosen = &si;
+                }
+            }
+            if (!any_work)
+                return true;
+            if (!chosen) {
+                t = std::max(t, min_avail);
+                continue;
+            }
+            std::size_t pf_idx = 0;
+            Seconds pf_best = inf, dec_best = inf;
+            for (std::size_t i = 0; i < chosen->prefills.size(); ++i) {
+                if (chosen->prefills[i].deadline < pf_best) {
+                    pf_best = chosen->prefills[i].deadline;
+                    pf_idx = i;
+                }
+            }
+            for (const SimDecode &dd : chosen->decodes)
+                dec_best = std::min(dec_best, dd.deadline);
+            if (pf_best <= dec_best) {
+                SimReq req = chosen->prefills[pf_idx];
+                t += quant_.prefillEstimate(*chosen->hw, *chosen->model,
+                                            req.ctx) *
+                     cfg_.overestimate;
+                if (t > req.deadline && violate(req.id))
+                    return false;
+                chosen->prefills.erase(chosen->prefills.begin() +
+                                       static_cast<std::ptrdiff_t>(pf_idx));
+                if (req.isCandidate)
+                    prefilled = true;
+                double n = static_cast<double>(chosen->decodes.size());
+                chosen->avgLen =
+                    (chosen->avgLen * n + static_cast<double>(req.ctx)) /
+                    (n + 1.0);
+                chosen->decodes.push_back(
+                    {std::max(req.deadline, t) + cfg_.tpotSlo, req.id});
+            } else {
+                t += quant_.decodeEstimate(
+                         *chosen->hw, *chosen->model,
+                         static_cast<int>(chosen->decodes.size()),
+                         static_cast<Tokens>(chosen->avgLen)) *
+                     cfg_.overestimate;
+                for (SimDecode &dd : chosen->decodes) {
+                    if (t > dd.deadline && violate(dd.id))
+                        return false;
+                    dd.deadline += cfg_.tpotSlo;
+                }
+                chosen->avgLen += 1.0;
+                chosen->decoded = true;
+            }
+        }
+        return true;
+    }
+
+    const Quantifier &quant_;
+    const ShadowValidator &agg_;
+    ShadowConfig cfg_;
+    mutable int nextId_ = 0;
+};
+
+/** One randomly populated single-partition node. */
+struct World
+{
+    World(NodeId id, const HardwareSpec &hw) : node(id, hw, 1)
+    {
+        part = node.partitions()[0].get();
+    }
+
+    Node node;
+    Partition *part;
+    std::vector<std::unique_ptr<Instance>> insts;
+    std::vector<std::unique_ptr<Request>> reqs;
+};
+
+class ShadowDifferential : public ::testing::TestWithParam<int>
+{
+  protected:
+    using Gen = std::mt19937_64;
+
+    static double
+    uniform(Gen &g, double lo, double hi)
+    {
+        return std::uniform_real_distribution<double>(lo, hi)(g);
+    }
+
+    static int
+    pick(Gen &g, int lo, int hi)
+    {
+        return std::uniform_int_distribution<int>(lo, hi)(g);
+    }
+
+    /** A request; with some probability a clone of the previous one's
+     *  timing so deadlines tie exactly. */
+    Request &
+    addRequest(World &w, Gen &g, Seconds now, Tokens generated)
+    {
+        auto r = std::make_unique<Request>();
+        r->id = nextReq_++;
+        r->inputLen = pick(g, 64, 3000);
+        r->targetOutput = 400;
+        r->generated = generated;
+        r->tpotSlo = 0.25;
+        bool tie = !w.reqs.empty() && pick(g, 0, 3) == 0;
+        if (tie) {
+            const Request &prev = *w.reqs.back();
+            r->arrival = prev.arrival;
+            r->ttftSlo = prev.ttftSlo;
+            r->generated = prev.generated;
+        } else {
+            // Up to 6 s in the past: some requests are already late.
+            r->arrival = now - uniform(g, 0.0, 6.0);
+            r->ttftSlo = std::min(std::max(0.5, r->inputLen / 512.0), 8.0);
+        }
+        w.reqs.push_back(std::move(r));
+        return *w.reqs.back();
+    }
+
+    std::unique_ptr<World>
+    makeWorld(Gen &g, Seconds now)
+    {
+        bool gpu = pick(g, 0, 1) == 1;
+        auto w = std::make_unique<World>(nextNode_++,
+                                         gpu ? a100_80g() : xeon6462c());
+        int n = pick(g, 1, 8);
+        for (int i = 0; i < n; ++i) {
+            const ModelSpec model =
+                pick(g, 0, 2) == 0 ? llama32_3b() : llama2_7b();
+            auto inst = std::make_unique<Instance>(
+                nextInst_++, 0, model, w->part, w->part->spec,
+                32ULL << 30);
+            int kind = pick(g, 0, 9);
+            inst->state = kind < 7   ? InstanceState::Active
+                          : kind < 9 ? InstanceState::Loading
+                                     : InstanceState::Draining;
+            inst->createdAt = now - uniform(g, 0.0, 1.0);
+            inst->loadDuration = uniform(g, 0.2, 3.0);
+            int queued = pick(g, 0, 4);
+            for (int q = 0; q < queued; ++q)
+                inst->prefillQueue.push_back(&addRequest(*w, g, now, 0));
+            int batch = pick(g, 0, gpu ? 16 : 6);
+            for (int b = 0; b < batch; ++b)
+                inst->decodeBatch.push_back(
+                    &addRequest(*w, g, now, pick(g, 1, 30)));
+            w->part->instances.push_back(inst.get());
+            w->insts.push_back(std::move(inst));
+        }
+        return w;
+    }
+
+    NodeId nextNode_ = 0;
+    InstanceId nextInst_ = 1;
+    RequestId nextReq_ = 1;
+};
+
+TEST_P(ShadowDifferential, VerdictsMatchReference)
+{
+    Gen g(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+    Quantifier quant;
+    for (const HardwareSpec &hw : {xeon6462c(), a100_80g()})
+        for (const ModelSpec &m : {llama32_3b(), llama2_7b()})
+            quant.profile(hw, m);
+    ShadowConfig cfg{1.10, 0.25, 500};
+    ShadowValidator validator(quant, cfg);
+    RefShadow ref(quant, validator, cfg);
+
+    // Twelve partitions queried in random interleavings: more states
+    // than the baseline memo holds, so entries are both hit and
+    // evicted, and each state comes back with many candidates.
+    const Seconds now = 100.0;
+    std::vector<std::unique_ptr<World>> worlds;
+    for (int i = 0; i < 12; ++i)
+        worlds.push_back(makeWorld(g, now));
+    World probe(nextNode_++, xeon6462c());
+
+    int accepted = 0, rejected = 0;
+    for (int q = 0; q < 300; ++q) {
+        World &w = *worlds[static_cast<std::size_t>(
+            pick(g, 0, static_cast<int>(worlds.size()) - 1))];
+        // Now and then, change one input the baseline reads: a
+        // request's deadline by one ulp or by seconds (which can doom
+        // it), a prompt length (a prefill's context or the batch's
+        // average), or when a loading instance becomes available.
+        int edit = pick(g, 0, 9);
+        Instance &inst = *w.insts[static_cast<std::size_t>(
+            pick(g, 0, static_cast<int>(w.insts.size()) - 1))];
+        std::vector<Request *> &queue =
+            inst.prefillQueue.empty() || pick(g, 0, 1) == 0
+                ? inst.decodeBatch
+                : inst.prefillQueue;
+        if (edit < 3 && !queue.empty()) {
+            Request &r = *queue[static_cast<std::size_t>(
+                pick(g, 0, static_cast<int>(queue.size()) - 1))];
+            r.arrival = edit == 0 ? std::nextafter(r.arrival, 0.0)
+                                  : r.arrival - uniform(g, 0.5, 5.0);
+        } else if (edit == 3 && !queue.empty()) {
+            queue.front()->inputLen = pick(g, 0, 1) ? 64 : 4000;
+        } else if (edit == 4) {
+            inst.loadDuration += uniform(g, 0.2, 2.0);
+        }
+        // The candidate: fresh, or an evicted request already past
+        // its deadline.
+        Request &cand = addRequest(probe, g, now,
+                                   pick(g, 0, 4) == 0 ? 20 : 0);
+        if (cand.generated > 0)
+            cand.arrival = now - 30.0;
+        Seconds busy = pick(g, 0, 1) ? now : now + uniform(g, 0.0, 0.4);
+        bool got, want;
+        if (pick(g, 0, 3) == 0) {
+            const ModelSpec &model =
+                w.insts[static_cast<std::size_t>(pick(
+                            g, 0, static_cast<int>(w.insts.size()) - 1))]
+                    ->model;
+            Seconds ready = now + uniform(g, 0.0, 2.0);
+            got = validator.canAdmitNew(*w.part, model, w.part->spec, cand,
+                                        now, busy, ready);
+            want = ref.canAdmitNew(*w.part, model, w.part->spec, cand, now,
+                                   busy, ready);
+        } else {
+            const Instance *target = w.part->instances[static_cast<
+                std::size_t>(pick(
+                g, 0, static_cast<int>(w.part->instances.size()) - 1))];
+            std::set<const Instance *> exclude;
+            if (pick(g, 0, 4) == 0)
+                exclude.insert(w.part->instances.back());
+            got = validator.canAdmit(*w.part, target, cand, now, busy,
+                                     exclude);
+            want = ref.canAdmit(*w.part, target, cand, now, busy, exclude);
+        }
+        ASSERT_EQ(got, want) << "seed " << GetParam() << " query " << q;
+        (got ? accepted : rejected)++;
+    }
+    // Both verdicts occur, and the memo answered some baseline passes
+    // but not all.
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(validator.baselineMemoHits(), 0u);
+    EXPECT_LT(validator.baselineMemoHits(), validator.evaluations());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShadowDifferential, ::testing::Range(0, 20));
+
+TEST_F(ShadowFixture, BaselineMemoHitsRepeatedStateOnly)
+{
+    // The same partition state re-tested at one instant reuses the
+    // baseline; any change to an input bit runs it again.
+    Instance &inst = addInstance(xeon6462c());
+    for (int i = 0; i < 4; ++i) {
+        Request &r = makeRequest(0.0, 1024, 100, 3);
+        r.state = RequestState::Decode;
+        inst.decodeBatch.push_back(&r);
+    }
+    Request &a = makeRequest(1.0, 512, 50);
+    Request &b = makeRequest(1.0, 256, 50);
+    bool first = validator->canAdmit(*part, &inst, a, 1.0, 1.0);
+    EXPECT_EQ(validator->baselineMemoHits(), 0u);
+    EXPECT_EQ(validator->canAdmit(*part, &inst, b, 1.0, 1.0),
+              validator->canAdmit(*part, &inst, b, 1.0, 1.0));
+    EXPECT_EQ(validator->baselineMemoHits(), 2u);
+    EXPECT_EQ(validator->canAdmit(*part, &inst, a, 1.0, 1.0), first);
+    EXPECT_EQ(validator->baselineMemoHits(), 3u);
+    // A later start is a different input.
+    validator->canAdmit(*part, &inst, a, 1.0, 1.5);
+    EXPECT_EQ(validator->baselineMemoHits(), 3u);
+    // So is a re-profile, even of a pair this partition does not use.
+    quant.profile(a100_80g(), llama2_7b());
+    validator->canAdmit(*part, &inst, a, 1.0, 1.0);
+    EXPECT_EQ(validator->baselineMemoHits(), 3u);
 }
 
 } // namespace
