@@ -1080,6 +1080,13 @@ SlinferController::SlinferController(
 
 SlinferController::~SlinferController() = default;
 
+void
+SlinferController::attachObs(obs::FlightRecorder *fr)
+{
+    ControllerBase::attachObs(fr);
+    shadow_.attachCounters(ctr_);
+}
+
 SchedPolicy
 SlinferController::schedPolicy() const
 {

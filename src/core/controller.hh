@@ -80,7 +80,7 @@ class ControllerBase
      * cluster threads / per-model request tracks). Sinks are
      * write-only: attaching them cannot change any decision.
      */
-    void attachObs(obs::FlightRecorder *fr);
+    virtual void attachObs(obs::FlightRecorder *fr);
 
     // --- intervention hooks (Session::inject / timelines) -----------
     /**
@@ -410,6 +410,9 @@ class SlinferController : public ControllerBase
                       ControllerConfig cfg, Recorder &recorder,
                       ClusterStats *stats);
     ~SlinferController() override;
+
+    /** Also hands the counter sink to the shadow validator. */
+    void attachObs(obs::FlightRecorder *fr) override;
 
     const Quantifier &quantifier() const { return quant_; }
 

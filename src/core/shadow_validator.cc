@@ -25,38 +25,6 @@ ShadowValidator::slotAt(std::size_t i) const
     return s;
 }
 
-std::size_t
-ShadowValidator::buildState(const Partition &part, Seconds now,
-                            const std::set<const Instance *> &exclude) const
-{
-    std::size_t n = 0;
-    int next_id = 0;
-    for (const Instance *inst : part.instances) {
-        if (exclude.count(inst))
-            continue;
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading ||
-            inst->state == InstanceState::Draining) {
-            continue;
-        }
-        SimInst &s = slotAt(n++);
-        s.table = &quant_.tableFor(inst->execSpec, inst->model);
-        s.availAt = inst->state == InstanceState::Loading
-                        ? inst->createdAt + inst->loadDuration
-                        : now;
-        for (const Request *r : inst->prefillQueue) {
-            s.prefills.push_back({r->deadlineForNextToken(),
-                                  r->contextLen(), false, next_id++});
-        }
-        for (const Request *r : inst->decodeBatch) {
-            s.decodeDeadlines.push_back(
-                {r->deadlineForNextToken(), next_id++});
-        }
-        s.avgLen = static_cast<double>(inst->avgContextLen());
-    }
-    return n;
-}
-
 namespace
 {
 
@@ -72,7 +40,49 @@ bitsOf(T v)
     return w;
 }
 
+/** Whether validation simulates `inst`: not excluded and not on its
+ *  way out. */
+bool
+simulated(const Instance *inst, const std::set<const Instance *> &exclude)
+{
+    return !exclude.count(inst) &&
+           inst->state != InstanceState::Reclaimed &&
+           inst->state != InstanceState::Unloading &&
+           inst->state != InstanceState::Draining;
+}
+
 } // namespace
+
+ShadowValidator::Built
+ShadowValidator::buildState(const Partition &part, Seconds now,
+                            const std::set<const Instance *> &exclude,
+                            const Instance *target) const
+{
+    std::size_t n = 0;
+    std::size_t target_slot = std::numeric_limits<std::size_t>::max();
+    int next_id = 0;
+    for (const Instance *inst : part.instances) {
+        if (!simulated(inst, exclude))
+            continue;
+        if (inst == target)
+            target_slot = n;
+        SimInst &s = slotAt(n++);
+        s.table = &quant_.tableFor(inst->execSpec, inst->model);
+        s.availAt = inst->state == InstanceState::Loading
+                        ? inst->createdAt + inst->loadDuration
+                        : now;
+        for (const Request *r : inst->prefillQueue) {
+            s.prefills.push_back({r->deadlineForNextToken(),
+                                  r->contextLen(), false, next_id++});
+        }
+        for (const Request *r : inst->decodeBatch) {
+            s.decodeDeadlines.push_back(
+                {r->deadlineForNextToken(), next_id++});
+        }
+        s.avgLen = static_cast<double>(inst->avgContextLen());
+    }
+    return {n, target_slot};
+}
 
 void
 ShadowValidator::rescanPrefills(SimInst &si)
@@ -115,16 +125,15 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
     }
     bool candidate_prefilled = !candidate_present;
 
-    auto is_exempt = [this](int id) {
-        return std::binary_search(doomed_.begin(), doomed_.end(), id);
-    };
     auto violate = [&](int id) {
         // Returns true when the violation should reject the admission.
         if (collectDoomed) {
             doomed_.push_back(id);
             return false;
         }
-        return !is_exempt(id);
+        if (!doomedResolved_)
+            resolveDoomed();
+        return !std::binary_search(doomed_.begin(), doomed_.end(), id);
     };
 
     for (int step = 0; step < cfg_.maxSteps; ++step) {
@@ -146,6 +155,14 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             }
             if (all_ok)
                 return true;
+        }
+        // Every 32 steps: stop once no request can be late any more,
+        // which is what the remaining steps would conclude.
+        if (step % 32 == 0 &&
+            noViolationPossible(v, count, t, cfg_.maxSteps - step)) {
+            if (!collectDoomed)
+                obs::bump(ctr_, obs::kShadowEarlyAccepts);
+            return true;
         }
 
         // Select the runnable instance with the most urgent request.
@@ -233,13 +250,62 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
     return true;
 }
 
+bool
+ShadowValidator::noViolationPossible(const std::vector<SimInst> &v,
+                                     std::size_t count, Seconds t,
+                                     int stepsLeft) const
+{
+    Seconds floor = kNever;  // no key falls below this
+    Seconds latest = t;      // a load wait moves t at most this far
+    Seconds largest = 0.0;   // the largest step still possible
+    for (std::size_t i = 0; i < count; ++i) {
+        const SimInst &si = v[i];
+        if (si.prefills.empty() && si.decodeDeadlines.empty())
+            continue;
+        floor = std::min(floor, std::min(si.pfMin, si.decMin));
+        latest = std::max(latest, si.availAt);
+        const Quantifier::ProfileTable &tab = *si.table;
+        // A joining prefill moves the average context length toward
+        // its own; each decode step adds one token (+1 for rounding).
+        double len = si.avgLen;
+        for (const SimReq &p : si.prefills) {
+            largest = std::max(largest,
+                               Quantifier::prefillEstimate(tab, p.ctx));
+            len = std::max(len, static_cast<double>(p.ctx));
+        }
+        len += stepsLeft + 1;
+        // Decode batches only grow, by the prefills that join. Past
+        // the top batch point the estimate extrapolates: no bound.
+        std::size_t batch = si.decodeDeadlines.size() + si.prefills.size();
+        if (batch > static_cast<std::size_t>(tab.batchGrid.back()))
+            return false;
+        // An estimate interpolates between grid corners, so it is at
+        // most the largest corner up to the first point covering the
+        // batch and length.
+        std::size_t bh = 0;
+        while (static_cast<std::size_t>(tab.batchGrid[bh]) < batch)
+            ++bh;
+        std::size_t lh = 0;
+        while (lh + 1 < tab.lenGrid.size() &&
+               static_cast<double>(tab.lenGrid[lh]) < len)
+            ++lh;
+        for (std::size_t b = 0; b <= bh; ++b)
+            for (std::size_t l = 0; l <= lh; ++l)
+                largest = std::max(largest, tab.decode[b][l]);
+    }
+    // The margin covers rounding: the run adds each step to t one at
+    // a time, the bound multiplies once.
+    Seconds bound = latest + stepsLeft * largest * cfg_.overestimate;
+    return bound * (1.0 + 1e-9) < floor;
+}
+
 void
 ShadowValidator::baselinePass(std::size_t count, Seconds start) const
 {
     key_.clear();
     key_.push_back(bitsOf(start));
     for (std::size_t i = 0; i < count; ++i) {
-        const SimInst &si = state_[i];
+        const SimInst &si = baseline_[i];
         std::uint64_t queued = 0;
         for (const SimReq &p : si.prefills)
             queued += p.isCandidate ? 0 : 1;
@@ -278,12 +344,7 @@ ShadowValidator::baselinePass(std::size_t count, Seconds start) const
         }
     }
 
-    // Miss: run the pass on a copy without the candidate. The copy
-    // assigns element-wise so inner buffers are recycled.
-    if (baseline_.size() < count)
-        baseline_.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        baseline_[i] = state_[i];
+    // Miss: run the pass on the snapshot without the candidate.
     for (std::size_t i = 0; i < count; ++i) {
         SimInst &si = baseline_[i];
         si.prefills.erase(
@@ -292,6 +353,8 @@ ShadowValidator::baselinePass(std::size_t count, Seconds start) const
             si.prefills.end());
     }
     doomed_.clear();
+    ++baselineRuns_;
+    obs::bump(ctr_, obs::kShadowBaselineRuns);
     simulate(baseline_, count, start, /*collectDoomed=*/true);
     BaselineMemo &m = memo_[memoNext_];
     memoNext_ = (memoNext_ + 1) % memo_.size();
@@ -300,24 +363,45 @@ ShadowValidator::baselinePass(std::size_t count, Seconds start) const
     m.doomed = doomed_;
 }
 
+void
+ShadowValidator::resolveDoomed() const
+{
+    doomedResolved_ = true;
+    // A candidate whose own deadline has already passed (an evicted /
+    // migrated request being re-placed) cannot be protected either; it
+    // must still find a home, so its own lateness does not reject.
+    // Read before baselinePass() drops the candidate from the snapshot.
+    bool late_candidate = false;
+    for (std::size_t i = 0; i < passCount_; ++i) {
+        for (const SimReq &p : baseline_[i].prefills) {
+            if (p.isCandidate && p.deadline < passNow_)
+                late_candidate = true;
+        }
+    }
+    // Whatever violates without the candidate is doomed and must not
+    // veto the admission.
+    baselinePass(passCount_, passStart_);
+    if (late_candidate)
+        doomed_.push_back(-1);
+    std::sort(doomed_.begin(), doomed_.end());
+}
+
 bool
 ShadowValidator::twoPass(std::size_t count, Seconds start,
                          Seconds now) const
 {
     ++evals_;
-    // Baseline pass without the candidate: whatever violates anyway is
-    // doomed and must not veto the admission.
-    baselinePass(count, start);
-    // A candidate whose own deadline has already passed (an evicted /
-    // migrated request being re-placed) cannot be protected either; it
-    // must still find a home, so its own lateness does not reject.
-    for (std::size_t i = 0; i < count; ++i) {
-        for (const SimReq &p : state_[i].prefills) {
-            if (p.isCandidate && p.deadline < now)
-                doomed_.push_back(p.id);
-        }
-    }
-    std::sort(doomed_.begin(), doomed_.end());
+    // Snapshot for the baseline pass; the copy assigns element-wise so
+    // inner buffers are recycled. Most real passes meet no late request
+    // and never read it.
+    if (baseline_.size() < count)
+        baseline_.resize(count);
+    for (std::size_t i = 0; i < count; ++i)
+        baseline_[i] = state_[i];
+    doomedResolved_ = false;
+    passCount_ = count;
+    passStart_ = start;
+    passNow_ = now;
     return simulate(state_, count, start, /*collectDoomed=*/false);
 }
 
@@ -328,13 +412,8 @@ ShadowValidator::aggregateDecodeFits(
 {
     Seconds total = 0.0;
     for (const Instance *inst : part.instances) {
-        if (exclude.count(inst))
+        if (!simulated(inst, exclude))
             continue;
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading ||
-            inst->state == InstanceState::Draining) {
-            continue;
-        }
         // Steady state: every admitted request is in the decode batch.
         int batch = inst->loadSize() + (inst == target ? extraOnTarget : 0);
         if (batch == 0)
@@ -363,23 +442,12 @@ ShadowValidator::canAdmit(const Partition &part, const Instance *target,
     if (!aggregateDecodeFits(part, target, 1, req.contextLen(), exclude))
         return false;
 
-    std::size_t count = buildState(part, now, exclude);
-    std::size_t live = 0;
-    for (const Instance *inst : part.instances) {
-        if (exclude.count(inst))
-            continue;
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading ||
-            inst->state == InstanceState::Draining) {
-            continue;
-        }
-        if (inst == target) {
-            state_[live].prefills.push_back({req.deadlineForNextToken(),
-                                             req.contextLen(), true, -1});
-        }
-        ++live;
+    Built b = buildState(part, now, exclude, target);
+    if (b.target < b.count) {
+        state_[b.target].prefills.push_back(
+            {req.deadlineForNextToken(), req.contextLen(), true, -1});
     }
-    return twoPass(count, std::max(now, partBusyUntil), now);
+    return twoPass(b.count, std::max(now, partBusyUntil), now);
 }
 
 bool
@@ -409,7 +477,7 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
     if (own + others > cfg_.tpotSlo)
         return false;
 
-    std::size_t count = buildState(part, now, {});
+    std::size_t count = buildState(part, now, {}, nullptr).count;
     SimInst &cand = slotAt(count);
     cand.table = &quant_.tableFor(execSpec, model);
     cand.availAt = readyAt;

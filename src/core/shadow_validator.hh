@@ -24,6 +24,7 @@
 #include "core/quantifier.hh"
 #include "engine/instance.hh"
 #include "engine/node.hh"
+#include "obs/counters.hh"
 
 namespace slinfer
 {
@@ -75,6 +76,15 @@ class ShadowValidator
     /** Validations whose baseline pass was answered by the memo. */
     std::uint64_t baselineMemoHits() const { return memoHits_; }
 
+    /** Baseline passes actually fast-forwarded (resolved, not from
+     *  the memo). A validation whose real pass meets no late request
+     *  never resolves its baseline. */
+    std::uint64_t baselineRuns() const { return baselineRuns_; }
+
+    /** Report baseline runs and certified early accepts to `c`
+     *  (nullable; write-only). */
+    void attachCounters(obs::Counters *c) { ctr_ = c; }
+
   private:
     struct SimReq
     {
@@ -119,9 +129,18 @@ class ShadowValidator
         std::vector<int> doomed;
     };
 
+    /** Live-instance count of a built state, and the slot of the
+     *  instance asked for (past `count` when it is not live). */
+    struct Built
+    {
+        std::size_t count;
+        std::size_t target;
+    };
+
     /**
      * Rebuild the validation state for `part` into the first slots of
-     * `state_`, returning the live-instance count. All validation
+     * `state_`, one per instance that is not excluded and not on its
+     * way out (Reclaimed, Unloading, Draining). All validation
      * scratch (`state_`, `baseline_`, `doomed_`) is per-validator
      * storage recycled across calls — admission validation runs a few
      * hundred times per simulated second at fleet scale, and the
@@ -130,35 +149,60 @@ class ShadowValidator
      * therefore not reentrant, which is fine: one controller owns one
      * validator on one simulator thread.
      */
-    std::size_t buildState(const Partition &part, Seconds now,
-                           const std::set<const Instance *> &exclude)
-        const;
+    Built buildState(const Partition &part, Seconds now,
+                     const std::set<const Instance *> &exclude,
+                     const Instance *target) const;
 
     /** A recycled `state_` slot, inner vectors cleared. */
     SimInst &slotAt(std::size_t i) const;
 
     /**
      * Fast-forward the token-level schedule over `v[0..count)`,
-     * consuming it. With `collectDoomed == false`, returns false on
-     * the first violation by a request not in the sorted `doomed_`
-     * scratch. With `collectDoomed == true`, never fails; instead it
-     * records the ids of requests that violate into `doomed_` (used
-     * as the baseline pass: requests that are late even without the
-     * candidate cannot be protected and must not veto admissions).
+     * consuming it. With `collectDoomed == false` (the real pass),
+     * returns false on the first violation by a request that is not
+     * doomed; the doomed list is resolved (resolveDoomed) at the
+     * first violation. With `collectDoomed == true`, never fails;
+     * instead it records the ids of requests that violate into
+     * `doomed_` (used as the baseline pass: requests that are late
+     * even without the candidate cannot be protected and must not
+     * veto admissions). Either pass stops early once
+     * noViolationPossible() certifies the rest of the run.
      */
     bool simulate(std::vector<SimInst> &v, std::size_t count,
                   Seconds start, bool collectDoomed) const;
 
-    /** Two-pass validation over `state_[0..count)`: the baseline pass
-     *  (without the candidate) marks the doomed, then the real pass
-     *  checks only protectable requests. `now` is the true wall clock
-     *  (start may be later when the partition is mid-iteration). */
+    /**
+     * True when no request in `v[0..count)` can violate within the
+     * `stepsLeft` remaining steps from time `t`. Every key (earliest
+     * deadline) is at least the current minimum key `m`: decode
+     * deadlines only grow, and a prefill joins the batch with
+     * `max(deadline, t) + tpotSlo`. A violation therefore needs the
+     * clock past `m`, and the clock ends at most at the latest load
+     * completion plus `stepsLeft` of the largest step still possible.
+     * Refuses when a batch could leave the profiled batch grid.
+     */
+    bool noViolationPossible(const std::vector<SimInst> &v,
+                             std::size_t count, Seconds t,
+                             int stepsLeft) const;
+
+    /** Two-pass validation over `state_[0..count)`: the real pass
+     *  runs first on `state_` while `baseline_` keeps a snapshot;
+     *  the baseline pass (without the candidate) marks the doomed
+     *  only when the real pass first meets a late request. `now` is
+     *  the true wall clock (start may be later when the partition is
+     *  mid-iteration). */
     bool twoPass(std::size_t count, Seconds start, Seconds now) const;
 
+    /** Resolve `doomed_` for the running real pass: the baseline
+     *  over the snapshot, plus a candidate already past its deadline
+     *  (an evicted or migrated request being re-placed), sorted. */
+    void resolveDoomed() const;
+
     /**
-     * Fill `doomed_` with the baseline pass over `state_[0..count)`,
-     * from the memo when an entry's key equals this input exactly.
-     * The key (built into `key_`) is every bit the baseline reads:
+     * Fill `doomed_` with the baseline pass over `baseline_[0..count)`
+     * (which it consumes), from the memo when an entry's key equals
+     * this input exactly. The key (built into `key_`) is every bit
+     * the baseline reads:
      * `start`, then for each instance that has work without the
      * candidate its table pointer, `availAt`, `avgLen`, prefills
      * (deadline, ctx, id) and decodes (deadline, id). Idle instances
@@ -180,10 +224,17 @@ class ShadowValidator
     /** Recycled validation scratch (see buildState). */
     mutable std::vector<SimInst> state_;
     mutable std::vector<SimInst> baseline_;
-    /** Ids that violate even without the candidate; sorted between
-     *  the two passes, membership via binary search. */
+    /** Ids that violate even without the candidate; sorted once
+     *  resolved, membership via binary search. */
     mutable std::vector<int> doomed_;
+    /** The running real pass's inputs, kept for resolveDoomed(). */
+    mutable bool doomedResolved_ = false;
+    mutable std::size_t passCount_ = 0;
+    mutable Seconds passStart_ = 0.0;
+    mutable Seconds passNow_ = 0.0;
     mutable std::uint64_t evals_ = 0;
+    mutable std::uint64_t baselineRuns_ = 0;
+    obs::Counters *ctr_ = nullptr;
 
     /**
      * Ring of recent baseline passes. Retry sweeps re-test the same

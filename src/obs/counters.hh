@@ -43,6 +43,8 @@ enum Counter : std::size_t
     kEmergencyGrows,   ///< KV-shortage emergency grow attempts
     kDrainSweeps,      ///< instance drain sweeps executed
     kShadowRuns,       ///< shadow-validator admission evaluations
+    kShadowBaselineRuns, ///< shadow baseline passes fast-forwarded
+    kShadowEarlyAccepts, ///< shadow real passes certified early
     kNumCounters
 };
 
@@ -55,7 +57,8 @@ counterName(std::size_t i)
         "bucket_promotions", "placement_probes", "index_walk_steps",
         "pending_wakeups",   "decode_wakeups",   "kv_target_changes",
         "kv_resize_ops",     "emergency_grows",  "drain_sweeps",
-        "shadow_runs",
+        "shadow_runs",       "shadow_baseline_runs",
+        "shadow_early_accepts",
     };
     return i < kNumCounters ? kNames[i] : "?";
 }

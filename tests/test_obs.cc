@@ -100,6 +100,34 @@ TEST(ObsCounters, HotPathCountersAreNonZeroAndNamed)
         EXPECT_EQ(r.counters[i].first, obs::counterName(i));
 }
 
+// The shadow validator's own counters on a fleet-like run (many
+// models sharing few nodes): some real passes meet a late request and
+// resolve their baseline, some are certified early, and counting
+// either changes nothing in the report.
+TEST(ObsCounters, ShadowBaselineAndEarlyAcceptCounted)
+{
+    ExperimentConfig cfg = smallConfig(5);
+    cfg.cluster.cpuNodes = 4;
+    cfg.cluster.gpuNodes = 4;
+    cfg.models = replicateModel(llama2_7b(), 64);
+    AzureTraceConfig tc;
+    tc.numModels = 64;
+    tc.duration = 120.0;
+    tc.seed = 5;
+    cfg.trace = generateAzureTrace(tc);
+    const std::string off = toJson(runExperiment(cfg));
+
+    cfg.obs.counters = true;
+    Report on = runExperiment(cfg);
+    std::map<std::string, std::uint64_t> c(on.counters.begin(),
+                                           on.counters.end());
+    EXPECT_GT(c["shadow_runs"], 0u);
+    EXPECT_GT(c["shadow_baseline_runs"], 0u);
+    EXPECT_GT(c["shadow_early_accepts"], 0u);
+    on.counters.clear(); // opted-in block; the rest must match
+    EXPECT_EQ(off, toJson(on));
+}
+
 TEST(ObsTrace, ChromeJsonIsWellFormedAndTimeOrdered)
 {
     ExperimentConfig cfg = smallConfig(11);

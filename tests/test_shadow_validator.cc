@@ -566,13 +566,22 @@ class ShadowDifferential : public ::testing::TestWithParam<int>
         return *w.reqs.back();
     }
 
+    /**
+     * A random partition. A calm one holds only rewound requests (a
+     * large `generated`, so far deadlines), where the fast-forward can
+     * stop early; its loading instances may finish far in the future.
+     */
     std::unique_ptr<World>
     makeWorld(Gen &g, Seconds now)
     {
         bool gpu = pick(g, 0, 1) == 1;
+        bool calm = pick(g, 0, 3) == 0;
         auto w = std::make_unique<World>(nextNode_++,
                                          gpu ? a100_80g() : xeon6462c());
         int n = pick(g, 1, 8);
+        auto generated = [&](int lo, int hi) {
+            return calm ? pick(g, 500, 4000) : pick(g, lo, hi);
+        };
         for (int i = 0; i < n; ++i) {
             const ModelSpec model =
                 pick(g, 0, 2) == 0 ? llama32_3b() : llama2_7b();
@@ -584,18 +593,112 @@ class ShadowDifferential : public ::testing::TestWithParam<int>
                           : kind < 9 ? InstanceState::Loading
                                      : InstanceState::Draining;
             inst->createdAt = now - uniform(g, 0.0, 1.0);
-            inst->loadDuration = uniform(g, 0.2, 3.0);
+            inst->loadDuration = calm && pick(g, 0, 1) == 0
+                                     ? uniform(g, 50.0, 1000.0)
+                                     : uniform(g, 0.2, 3.0);
             int queued = pick(g, 0, 4);
             for (int q = 0; q < queued; ++q)
-                inst->prefillQueue.push_back(&addRequest(*w, g, now, 0));
+                inst->prefillQueue.push_back(
+                    &addRequest(*w, g, now, generated(0, 0)));
+            // GPU batches reach past the top of the 3B model's batch
+            // grid (profiled to 8 below), where estimates extrapolate.
             int batch = pick(g, 0, gpu ? 16 : 6);
             for (int b = 0; b < batch; ++b)
                 inst->decodeBatch.push_back(
-                    &addRequest(*w, g, now, pick(g, 1, 30)));
+                    &addRequest(*w, g, now, generated(1, 30)));
             w->part->instances.push_back(inst.get());
             w->insts.push_back(std::move(inst));
         }
         return w;
+    }
+
+    /**
+     * A candidate for a loading instance whose weights land far in the
+     * future, with rewound (far-deadline) requests only, next to an
+     * idle neighbour: the whole run first waits for the load, so a
+     * bound that forgot `availAt` would accept a candidate that lands
+     * late.
+     */
+    void
+    farLoadQuery(Gen &g, const ShadowValidator &validator,
+                 const RefShadow &ref, int q)
+    {
+        const Seconds now = 100.0;
+        bool gpu = pick(g, 0, 1) == 1;
+        World w(nextNode_++, gpu ? a100_80g() : xeon6462c());
+        std::vector<std::unique_ptr<Instance>> insts;
+        for (int i = 0; i < 2; ++i) {
+            insts.push_back(std::make_unique<Instance>(
+                nextInst_++, 0, pick(g, 0, 1) ? llama32_3b() : llama2_7b(),
+                w.part, w.part->spec, 32ULL << 30));
+            w.part->instances.push_back(insts.back().get());
+        }
+        Instance &loading = *insts[0];
+        loading.state = InstanceState::Loading;
+        loading.createdAt = now - uniform(g, 0.0, 1.0);
+        loading.loadDuration = uniform(g, 5.0, 600.0);
+        insts[1]->state = InstanceState::Active;
+        for (int q2 = pick(g, 0, 2); q2 > 0; --q2)
+            loading.prefillQueue.push_back(
+                &addRequest(w, g, now, pick(g, 100, 4000)));
+        for (int b = pick(g, 0, 4); b > 0; --b)
+            loading.decodeBatch.push_back(
+                &addRequest(w, g, now, pick(g, 100, 4000)));
+        const Request &cand = addRequest(w, g, now, pick(g, 100, 4000));
+        Seconds busy = pick(g, 0, 1) ? now : now + uniform(g, 0.0, 0.4);
+        bool got = validator.canAdmit(*w.part, &loading, cand, now, busy);
+        bool want = ref.canAdmit(*w.part, &loading, cand, now, busy, {});
+        ASSERT_EQ(got, want) << "seed " << GetParam() << " far-load " << q;
+    }
+
+    /**
+     * A state whose verdict sits within a few ulps of the early-accept
+     * bound: 15 queued prefills and the candidate, all of one length
+     * and one deadline `d`, on an otherwise idle GPU instance. With
+     * `maxSteps = 16` the run is exactly the 16 prefills, so the
+     * candidate lands at `start` plus 16 equal steps, added one at a
+     * time, and the bound is that same sum computed at once. `d` is
+     * that landing time or up to four ulps below it.
+     */
+    void
+    nearBoundQuery(Gen &g, const Quantifier &quant,
+                   const ShadowValidator &validator, const RefShadow &ref,
+                   int q)
+    {
+        World w(nextNode_++, a100_80g());
+        auto inst = std::make_unique<Instance>(nextInst_++, 0, llama2_7b(),
+                                               w.part, w.part->spec,
+                                               32ULL << 30);
+        inst->state = InstanceState::Active;
+        w.part->instances.push_back(inst.get());
+        const Seconds now = uniform(g, 1.0, 5000.0);
+        const Seconds start = pick(g, 0, 1) ? now : now + uniform(g, 0, 1);
+        const Tokens ctx = pick(g, 256, 4000);
+        const Seconds step =
+            quant.prefillEstimate(a100_80g(), llama2_7b(), ctx) * 1.10;
+        Seconds land = start;
+        for (int i = 0; i < 16; ++i)
+            land += step;
+        Seconds d = land;
+        for (int k = pick(g, 0, 4); k > 0; --k)
+            d = std::nextafter(d, 0.0);
+        for (int i = 0; i < 16; ++i) {
+            auto r = std::make_unique<Request>();
+            r->id = nextReq_++;
+            r->inputLen = ctx;
+            r->targetOutput = 400;
+            r->arrival = d; // ttftSlo 0: the deadline is exactly d
+            r->ttftSlo = 0.0;
+            r->tpotSlo = 0.25;
+            w.reqs.push_back(std::move(r));
+            if (i < 15)
+                inst->prefillQueue.push_back(w.reqs.back().get());
+        }
+        const Request &cand = *w.reqs.back();
+        bool got = validator.canAdmit(*w.part, inst.get(), cand, now, start);
+        bool want = ref.canAdmit(*w.part, inst.get(), cand, now, start, {});
+        ASSERT_EQ(got, want) << "seed " << GetParam() << " near-bound "
+                             << q << " deadline " << (land - d);
     }
 
     NodeId nextNode_ = 0;
@@ -610,9 +713,12 @@ TEST_P(ShadowDifferential, VerdictsMatchReference)
     for (const HardwareSpec &hw : {xeon6462c(), a100_80g()})
         for (const ModelSpec &m : {llama32_3b(), llama2_7b()})
             quant.profile(hw, m);
+    quant.profile(a100_80g(), llama32_3b(), 8);
     ShadowConfig cfg{1.10, 0.25, 500};
     ShadowValidator validator(quant, cfg);
     RefShadow ref(quant, validator, cfg);
+    obs::Counters ctr;
+    validator.attachCounters(&ctr);
 
     // Twelve partitions queried in random interleavings: more states
     // than the baseline memo holds, so entries are both hit and
@@ -648,11 +754,14 @@ TEST_P(ShadowDifferential, VerdictsMatchReference)
         } else if (edit == 4) {
             inst.loadDuration += uniform(g, 0.2, 2.0);
         }
-        // The candidate: fresh, or an evicted request already past
-        // its deadline.
+        // The candidate: fresh, an evicted request already past its
+        // deadline, or a rewound one with a far deadline.
+        int kind = pick(g, 0, 5);
         Request &cand = addRequest(probe, g, now,
-                                   pick(g, 0, 4) == 0 ? 20 : 0);
-        if (cand.generated > 0)
+                                   kind == 0   ? 20
+                                   : kind == 1 ? pick(g, 500, 4000)
+                                               : 0);
+        if (kind == 0)
             cand.arrival = now - 30.0;
         Seconds busy = pick(g, 0, 1) ? now : now + uniform(g, 0.0, 0.4);
         bool got, want;
@@ -686,6 +795,21 @@ TEST_P(ShadowDifferential, VerdictsMatchReference)
     EXPECT_GT(rejected, 0);
     EXPECT_GT(validator.baselineMemoHits(), 0u);
     EXPECT_LT(validator.baselineMemoHits(), validator.evaluations());
+
+    for (int q = 0; q < 40; ++q)
+        farLoadQuery(g, validator, ref, q);
+    ShadowConfig tight{1.10, 0.25, 16};
+    ShadowValidator near(quant, tight);
+    RefShadow nearRef(quant, near, tight);
+    near.attachCounters(&ctr);
+    for (int q = 0; q < 40; ++q)
+        nearBoundQuery(g, quant, near, nearRef, q);
+    // The early accept fired, and some baselines were skipped: the
+    // matches above were not won by never taking either shortcut.
+    EXPECT_GT(ctr.v[obs::kShadowEarlyAccepts], 0u);
+    EXPECT_GT(ctr.v[obs::kShadowBaselineRuns], 0u);
+    EXPECT_LT(validator.baselineRuns() + validator.baselineMemoHits(),
+              validator.evaluations());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShadowDifferential, ::testing::Range(0, 20));
@@ -693,29 +817,60 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShadowDifferential, ::testing::Range(0, 20));
 TEST_F(ShadowFixture, BaselineMemoHitsRepeatedStateOnly)
 {
     // The same partition state re-tested at one instant reuses the
-    // baseline; any change to an input bit runs it again.
+    // baseline; any change to an input bit runs it again. The batch is
+    // already past its deadlines, so every real pass meets a late
+    // request and resolves its baseline.
     Instance &inst = addInstance(xeon6462c());
     for (int i = 0; i < 4; ++i) {
         Request &r = makeRequest(0.0, 1024, 100, 3);
         r.state = RequestState::Decode;
         inst.decodeBatch.push_back(&r);
     }
-    Request &a = makeRequest(1.0, 512, 50);
-    Request &b = makeRequest(1.0, 256, 50);
-    bool first = validator->canAdmit(*part, &inst, a, 1.0, 1.0);
+    const Seconds now = inst.decodeBatch[0]->deadlineForNextToken() + 1.0;
+    Request &a = makeRequest(now, 512, 50);
+    Request &b = makeRequest(now, 256, 50);
+    bool first = validator->canAdmit(*part, &inst, a, now, now);
     EXPECT_EQ(validator->baselineMemoHits(), 0u);
-    EXPECT_EQ(validator->canAdmit(*part, &inst, b, 1.0, 1.0),
-              validator->canAdmit(*part, &inst, b, 1.0, 1.0));
+    EXPECT_EQ(validator->baselineRuns(), 1u);
+    EXPECT_EQ(validator->canAdmit(*part, &inst, b, now, now),
+              validator->canAdmit(*part, &inst, b, now, now));
     EXPECT_EQ(validator->baselineMemoHits(), 2u);
-    EXPECT_EQ(validator->canAdmit(*part, &inst, a, 1.0, 1.0), first);
+    EXPECT_EQ(validator->canAdmit(*part, &inst, a, now, now), first);
     EXPECT_EQ(validator->baselineMemoHits(), 3u);
+    EXPECT_EQ(validator->baselineRuns(), 1u);
     // A later start is a different input.
-    validator->canAdmit(*part, &inst, a, 1.0, 1.5);
+    validator->canAdmit(*part, &inst, a, now, now + 0.5);
     EXPECT_EQ(validator->baselineMemoHits(), 3u);
+    EXPECT_EQ(validator->baselineRuns(), 2u);
     // So is a re-profile, even of a pair this partition does not use.
     quant.profile(a100_80g(), llama2_7b());
-    validator->canAdmit(*part, &inst, a, 1.0, 1.0);
+    validator->canAdmit(*part, &inst, a, now, now);
     EXPECT_EQ(validator->baselineMemoHits(), 3u);
+    EXPECT_EQ(validator->baselineRuns(), 3u);
+    EXPECT_EQ(validator->evaluations(), 6u);
+}
+
+TEST_F(ShadowFixture, LazyBaselineSkippedWithoutLateRequest)
+{
+    // A batch far from its deadlines: the real pass meets no late
+    // request, so the baseline is neither run nor looked up.
+    Instance &inst = addInstance(a100_80g());
+    for (int i = 0; i < 4; ++i) {
+        Request &r = makeRequest(0.0, 1024, 100, 3);
+        r.state = RequestState::Decode;
+        inst.decodeBatch.push_back(&r);
+    }
+    Request &a = makeRequest(0.0, 512, 50);
+    EXPECT_TRUE(validator->canAdmit(*part, &inst, a, 0.0, 0.0));
+    EXPECT_TRUE(validator->canAdmitNew(*part, llama2_7b(), a100_80g(), a,
+                                       0.0, 0.0, 0.5));
+    EXPECT_EQ(validator->evaluations(), 2u);
+    EXPECT_EQ(validator->baselineRuns(), 0u);
+    EXPECT_EQ(validator->baselineMemoHits(), 0u);
+    // Once the batch is late, the next validation resolves it.
+    const Seconds late = inst.decodeBatch[0]->deadlineForNextToken() + 1.0;
+    validator->canAdmit(*part, &inst, a, late, late);
+    EXPECT_EQ(validator->baselineRuns(), 1u);
 }
 
 } // namespace

@@ -14,9 +14,15 @@
  *    punctuation stripped, spaces to hyphens, `-1`/`-2`... suffixes
  *    for duplicates).
  *
+ * It also rejects source line-number anchors anywhere in a checked
+ * file (`src|tools|tests|bench/<path>.{cc,hh}:<digits>`): line numbers
+ * drift silently as code moves, so documents cite the file plus the
+ * symbol instead.
+ *
  * External targets (http/https/mailto) are not fetched — CI must not
- * depend on the network. Exit code: 0 when every link resolves, 1
- * otherwise (each broken link is printed with file:line).
+ * depend on the network. Exit code: 0 when every link resolves and no
+ * line-number anchor is found, 1 otherwise (each finding is printed
+ * with file:line).
  */
 
 #include <algorithm>
@@ -24,6 +30,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -209,6 +216,32 @@ collectLinks(const std::string &content)
     return links;
 }
 
+/** Print every source line-number anchor in `content`; returns the
+ *  count. */
+int
+reportLineAnchors(const std::string &path, const std::string &content)
+{
+    static const std::regex anchor(
+        R"((^|[^A-Za-z0-9_./-]))"
+        R"(((src|tools|tests|bench)/[A-Za-z0-9_./-]*\.(cc|hh):[0-9]+))");
+    std::istringstream in(content);
+    std::string line;
+    int lineno = 0;
+    int found = 0;
+    while (std::getline(in, line)) {
+        ++lineno;
+        for (std::sregex_iterator it(line.begin(), line.end(), anchor), end;
+             it != end; ++it) {
+            std::fprintf(stderr,
+                         "%s:%d: line-number anchor: %s (cite the file "
+                         "and the symbol instead)\n",
+                         path.c_str(), lineno, (*it)[2].str().c_str());
+            ++found;
+        }
+    }
+    return found;
+}
+
 bool
 isExternal(const std::string &target)
 {
@@ -242,9 +275,11 @@ main(int argc, char **argv)
 
     std::map<std::string, std::set<std::string>> anchorCache;
     int broken = 0;
+    int lineAnchors = 0;
     std::size_t checked = 0;
 
     for (const auto &[path, content] : docs) {
+        lineAnchors += reportLineAnchors(path, content);
         for (const Link &link : collectLinks(content)) {
             if (isExternal(link.target))
                 continue;
@@ -299,7 +334,7 @@ main(int argc, char **argv)
     }
 
     std::printf("doccheck: %zu intra-repo links checked across %zu "
-                "files, %d broken\n",
-                checked, docs.size(), broken);
-    return broken == 0 ? 0 : 1;
+                "files, %d broken, %d line-number anchors\n",
+                checked, docs.size(), broken, lineAnchors);
+    return broken == 0 && lineAnchors == 0 ? 0 : 1;
 }
